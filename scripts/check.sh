@@ -12,7 +12,7 @@
 # coarsening gate (train >= 3x per_frame, rows byte-identical) are hard
 # failures, while throughput regressions only *warn* (wall-clock moves
 # with host load).  The coarsening byte-identity section additionally
-# pins the ENTIRE quick report — all families — across both modes.
+# re-simulates the ENTIRE quick report — all families — in both modes.
 # Exit code is non-zero if any hard gate that ran failed.
 # tests/analysis/test_check_script.py runs this script under plain
 # pytest, so `pytest -x -q` alone catches regressions.
@@ -135,12 +135,12 @@ echo "== quickstart smoke (examples/quickstart.py) =="
 python examples/quickstart.py > /dev/null || status=1
 
 echo "== coarsening byte-identity (full quick report, train vs per_frame) =="
-# Hard gate: the ENTIRE quick report — every family, not just fleet —
-# must be byte-identical between the frame-train fast path and the
-# per-frame reference path.  Both runs share one throwaway cache, so the
-# second run re-simulates only the fleet jobs (coarsening is part of the
-# fleet cache key); everything else is a hit, which keeps this gate at
-# one full quick run plus one fleet family instead of two full runs.
+# Hard gate: the ENTIRE quick report must be byte-identical between the
+# coarsened fast paths (NVMe write fetch stream, Ethernet frame trains)
+# and the per-unit reference paths.  Both runs share one throwaway cache,
+# but coarsening is part of the cache key of every simulating job, so
+# the per_frame run re-simulates every family; only table1 and the
+# MAC-only A7 ablation, which build no host system, are cache hits.
 coarsen_cache=$(mktemp -d)
 coarsen_train=$(mktemp)
 coarsen_pf=$(mktemp)

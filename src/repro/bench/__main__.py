@@ -13,7 +13,7 @@ Unknown flags are errors (argparse), not silently ignored::
     python -m repro.bench --json report.json   # machine-readable rows
     python -m repro.bench --no-cache           # always re-simulate
     python -m repro.bench --clear-cache        # drop .bench_cache/ first
-    python -m repro.bench --coarsening per_frame   # reference fleet path
+    python -m repro.bench --coarsening per_frame   # per-unit reference paths
     python -m repro.bench --quick --only fleet --profile   # cProfile jobs
 """
 
@@ -29,6 +29,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
+from ..sim.fifo import COARSENING_MODES
 from .cache import ResultCache, code_fingerprint, default_cache_dir
 from .jobs import (EXPERIMENTS, build_plan, execute_plan, render_report,
                    results_to_json)
@@ -68,10 +69,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="cache location (default: .bench_cache/ or "
                              "$REPRO_BENCH_CACHE)")
-    parser.add_argument("--coarsening", choices=("train", "per_frame"),
+    parser.add_argument("--coarsening", choices=COARSENING_MODES,
                         default="train",
-                        help="fleet kernel fast path (train, default) or "
-                             "the per-frame reference path; the report is "
+                        help="coarsened fast paths of every simulating job "
+                             "(train, default: NVMe write fetch stream, "
+                             "Ethernet frame trains) or the per-unit "
+                             "reference paths (per_frame); the report is "
                              "byte-identical either way")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile the selected jobs (implies --jobs 1 "

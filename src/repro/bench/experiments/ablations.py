@@ -62,20 +62,23 @@ ABLATION_TITLES = {
 
 
 def _snacc(variant=StreamerVariant.URAM, streamer_config=None,
-           host_config=None):
+           host_config=None, coarsening: str = "train"):
     sim = Simulator()
-    host_cfg = host_config or HostSystemConfig(functional=False)
+    host_cfg = host_config or HostSystemConfig(functional=False,
+                                               coarsening=coarsening)
     system = build_snacc_system(sim, variant, host_cfg,
                                 streamer_config=streamer_config)
     system.initialize()
     return sim, system, SnaccPerf(sim, system.user)
 
 
-def ablation_queue_depth_point(qd: int,
-                               total_bytes: int) -> List[ExperimentRow]:
+def ablation_queue_depth_point(qd: int, total_bytes: int,
+                               coarsening: str = "train"
+                               ) -> List[ExperimentRow]:
     """A1, one depth: SPDK then SNAcc on private simulators."""
     sim = Simulator()
-    host = build_host_system(sim, HostSystemConfig(functional=False))
+    host = build_host_system(sim, HostSystemConfig(functional=False,
+                                                   coarsening=coarsening))
     driver = host.spdk_driver()
     sim.run_process(driver.initialize())
     run = sim.run_process(SpdkPerf(driver).rand_read(
@@ -84,7 +87,7 @@ def ablation_queue_depth_point(qd: int,
 
     cfg = replace(default_config_for(StreamerVariant.URAM),
                   queue_depth=qd)
-    sim, _system, perf = _snacc(streamer_config=cfg)
+    sim, _system, perf = _snacc(streamer_config=cfg, coarsening=coarsening)
     run = sim.run_process(perf.rand_read(total_bytes))
     rows.append(ExperimentRow(f"qd{qd}", "uram", run.gbps, "GB/s"))
     return rows
@@ -99,11 +102,12 @@ def ablation_queue_depth(total_bytes: int = 24 * MiB,
     return result
 
 
-def ablation_ooo_point(policy: str, total_bytes: int) -> List[ExperimentRow]:
+def ablation_ooo_point(policy: str, total_bytes: int,
+                       coarsening: str = "train") -> List[ExperimentRow]:
     """A2, one retirement policy ('in_order' or 'out_of_order')."""
     cfg = replace(default_config_for(StreamerVariant.URAM),
                   out_of_order_retirement=(policy == "out_of_order"))
-    sim, _system, perf = _snacc(streamer_config=cfg)
+    sim, _system, perf = _snacc(streamer_config=cfg, coarsening=coarsening)
     run = sim.run_process(perf.rand_read(total_bytes))
     return [ExperimentRow("rand_read", policy, run.gbps, "GB/s")]
 
@@ -116,17 +120,16 @@ def ablation_ooo(total_bytes: int = 24 * MiB) -> ExperimentResult:
     return result
 
 
-def ablation_gen5_point(generation: str, kind: str,
-                        transfer_bytes: int) -> List[ExperimentRow]:
+def ablation_gen5_point(generation: str, kind: str, transfer_bytes: int,
+                        coarsening: str = "train") -> List[ExperimentRow]:
     """A3, one (SSD generation, transfer kind) cell."""
+    host_cfg = HostSystemConfig(functional=False, coarsening=coarsening)
     if generation == "gen5":
         host_cfg = replace(
-            HostSystemConfig(functional=False),
+            host_cfg,
             ssd=NvmeDeviceConfig(
                 link=LinkParams(gen=5, lanes=4, propagation_ns=75),
                 profile=GEN5_SSD_LIKE))
-    else:
-        host_cfg = HostSystemConfig(functional=False)
     sim, _system, perf = _snacc(StreamerVariant.HOST_DRAM,
                                 host_config=host_cfg)
     run = sim.run_process(getattr(perf, kind)(transfer_bytes))
@@ -143,7 +146,8 @@ def ablation_gen5(transfer_bytes: int = 256 * MiB) -> ExperimentResult:
     return result
 
 
-def _build_multi_ssd(sim: Simulator, n: int, variant: StreamerVariant):
+def _build_multi_ssd(sim: Simulator, n: int, variant: StreamerVariant,
+                     coarsening: str = "train"):
     """One FPGA platform with *n* SSDs, each behind its own streamer."""
     from ...core.driver import SnaccDriver
     from ...core.streamer import NvmeStreamer
@@ -165,7 +169,7 @@ def _build_multi_ssd(sim: Simulator, n: int, variant: StreamerVariant):
     for i in range(n):
         ssd = build_nvme_device(sim, fabric, NvmeDeviceConfig(
             name=f"ssd{i}", bar_base=0xF000_0000 + i * 0x10_0000,
-            functional=False))
+            functional=False), coarsening=coarsening)
         cfg = default_config_for(variant)
         streamer = NvmeStreamer(sim, platform, ssd, cfg, name=f"snacc{i}",
                                 pinned_allocator=allocator,
@@ -193,11 +197,12 @@ def _aggregate_seq_write(sim: Simulator, ports, transfer_bytes: int) -> float:
     return len(ports) * transfer_bytes / max(1, sim.now - start)
 
 
-def ablation_multi_ssd_point(n: int,
-                             transfer_bytes: int) -> List[ExperimentRow]:
+def ablation_multi_ssd_point(n: int, transfer_bytes: int,
+                             coarsening: str = "train"
+                             ) -> List[ExperimentRow]:
     """A4, one SSD count."""
     sim = Simulator()
-    ports = _build_multi_ssd(sim, n, StreamerVariant.URAM)
+    ports = _build_multi_ssd(sim, n, StreamerVariant.URAM, coarsening)
     agg = _aggregate_seq_write(sim, ports, transfer_bytes)
     return [ExperimentRow("aggregate_seq_write", f"{n}_ssd", agg, "GB/s")]
 
@@ -218,11 +223,11 @@ HBM_MEMORIES = {"shared_dram_ctrl": StreamerVariant.ONBOARD_DRAM,
                 "independent_banks": StreamerVariant.URAM}
 
 
-def ablation_hbm_point(memory: str, n_ssds: int,
-                       transfer_bytes: int) -> List[ExperimentRow]:
+def ablation_hbm_point(memory: str, n_ssds: int, transfer_bytes: int,
+                       coarsening: str = "train") -> List[ExperimentRow]:
     """A6, one buffer-memory organisation (key into HBM_MEMORIES)."""
     sim = Simulator()
-    ports = _build_multi_ssd(sim, n_ssds, HBM_MEMORIES[memory])
+    ports = _build_multi_ssd(sim, n_ssds, HBM_MEMORIES[memory], coarsening)
     agg = _aggregate_seq_write(sim, ports, transfer_bytes)
     return [ExperimentRow("aggregate_seq_write", memory, agg, "GB/s")]
 
@@ -247,13 +252,13 @@ def ablation_hbm(n_ssds: int = 2,
 BURST_SIZES = {"coalesced_4k": 4 * KiB, "uncoalesced_512": 512}
 
 
-def ablation_burst_point(burst_label: str,
-                         transfer_bytes: int) -> List[ExperimentRow]:
+def ablation_burst_point(burst_label: str, transfer_bytes: int,
+                         coarsening: str = "train") -> List[ExperimentRow]:
     """A5, one DRAM burst size (key into BURST_SIZES)."""
     cfg = replace(default_config_for(StreamerVariant.ONBOARD_DRAM),
                   dram_access_bytes=BURST_SIZES[burst_label])
     sim, _system, perf = _snacc(StreamerVariant.ONBOARD_DRAM,
-                                streamer_config=cfg)
+                                streamer_config=cfg, coarsening=coarsening)
     run = sim.run_process(perf.seq_write(transfer_bytes))
     return [ExperimentRow("seq_write", burst_label, run.gbps, "GB/s")]
 
@@ -304,12 +309,13 @@ def ablation_flow_control(n_frames: int = 400) -> ExperimentResult:
     return result
 
 
-def ablation_buffer_size_point(mib: int,
-                               transfer_bytes: int) -> List[ExperimentRow]:
+def ablation_buffer_size_point(mib: int, transfer_bytes: int,
+                               coarsening: str = "train"
+                               ) -> List[ExperimentRow]:
     """A8, one URAM buffer size."""
     cfg = replace(default_config_for(StreamerVariant.URAM),
                   uram_buffer_bytes=mib * MiB)
-    sim, _system, perf = _snacc(streamer_config=cfg)
+    sim, _system, perf = _snacc(streamer_config=cfg, coarsening=coarsening)
     run = sim.run_process(perf.seq_read(transfer_bytes))
     return [ExperimentRow("seq_read", f"{mib}MiB", run.gbps, "GB/s")]
 

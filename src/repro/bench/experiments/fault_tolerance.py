@@ -30,7 +30,7 @@ __all__ = ["ablation_fault_rate", "ablation_fault_rate_point",
 DEFAULT_FAULT_RATES: Tuple[float, ...] = (0.0, 0.01, 0.05, 0.1)
 
 
-def _faulted_snacc(rate: float) -> SnaccSystem:
+def _faulted_snacc(rate: float, coarsening: str = "train") -> SnaccSystem:
     """Fresh URAM-variant system with the sweep's fault profile."""
     faults: Optional[FaultConfig] = None
     if rate > 0:
@@ -43,16 +43,18 @@ def _faulted_snacc(rate: float) -> SnaccSystem:
     sim = Simulator()
     system = build_snacc_system(
         sim, StreamerVariant.URAM,
-        HostSystemConfig(functional=False, faults=faults))
+        HostSystemConfig(functional=False, faults=faults,
+                         coarsening=coarsening))
     system.initialize()
     return system
 
 
-def ablation_fault_rate_point(rate: float, rand_bytes: int,
-                              seq_bytes: int) -> List[ExperimentRow]:
+def ablation_fault_rate_point(rate: float, rand_bytes: int, seq_bytes: int,
+                              coarsening: str = "train"
+                              ) -> List[ExperimentRow]:
     """One fault-rate sweep point on private simulators."""
     label = f"rate {rate:g}"
-    system = _faulted_snacc(rate)
+    system = _faulted_snacc(rate, coarsening)
     perf = SnaccPerf(system.sim, system.user)
     try:
         rand = system.sim.run_process(perf.rand_read(rand_bytes))
@@ -70,7 +72,7 @@ def ablation_fault_rate_point(rate: float, rand_bytes: int,
     rows.append(ExperimentRow("rand_retries", label, float(retries), "cmds"))
     rows.append(ExperimentRow("rand_exhausted", label,
                               float(exhausted), "cmds"))
-    system = _faulted_snacc(rate)
+    system = _faulted_snacc(rate, coarsening)
     perf = SnaccPerf(system.sim, system.user)
     seq = system.sim.run_process(perf.seq_read(seq_bytes))
     rows.append(ExperimentRow("seq_read", label, seq.gbps, "GB/s"))

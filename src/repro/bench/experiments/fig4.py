@@ -29,33 +29,38 @@ __all__ = ["run_fig4a", "run_fig4b", "run_fig4c", "SYSTEMS",
 SYSTEMS = ("spdk", "uram", "onboard_dram", "host_dram")
 
 
-def _spdk_perf(functional: bool = False):
+def _spdk_perf(functional: bool = False, coarsening: str = "train"):
     sim = Simulator()
-    system = build_host_system(sim, HostSystemConfig(functional=functional))
+    system = build_host_system(sim, HostSystemConfig(
+        functional=functional, coarsening=coarsening))
     driver = system.spdk_driver()
     sim.run_process(driver.initialize())
     return sim, SpdkPerf(driver), system
 
 
-def _snacc_perf(variant: StreamerVariant, functional: bool = False):
+def _snacc_perf(variant: StreamerVariant, functional: bool = False,
+                coarsening: str = "train"):
     sim = Simulator()
     system = build_snacc_system(
-        sim, variant, HostSystemConfig(functional=functional))
+        sim, variant, HostSystemConfig(functional=functional,
+                                       coarsening=coarsening))
     system.initialize()
     return sim, SnaccPerf(sim, system.user), system
 
 
 def fig4a_point(kind: str, system_name: str, transfer_bytes: int,
-                repetitions: int = 2) -> List[ExperimentRow]:
+                repetitions: int = 2,
+                coarsening: str = "train") -> List[ExperimentRow]:
     """One (kind, system) cell of Fig 4a on a private simulator."""
     rates = []
     for rep in range(repetitions if kind == "seq_write" else 1):
         if system_name == "spdk":
-            sim, perf, system = _spdk_perf()
+            sim, perf, system = _spdk_perf(coarsening=coarsening)
             fn = (perf.seq_read if kind == "seq_read"
                   else perf.seq_write)
         else:
-            sim, perf, system = _snacc_perf(StreamerVariant(system_name))
+            sim, perf, system = _snacc_perf(StreamerVariant(system_name),
+                                            coarsening=coarsening)
             fn = (perf.seq_read if kind == "seq_read"
                   else perf.seq_write)
         if kind == "seq_write" and rep:
@@ -82,14 +87,15 @@ def run_fig4a(transfer_bytes: int = 512 * MiB,
     return result
 
 
-def fig4b_point(kind: str, system_name: str,
-                transfer_bytes: int) -> List[ExperimentRow]:
+def fig4b_point(kind: str, system_name: str, transfer_bytes: int,
+                coarsening: str = "train") -> List[ExperimentRow]:
     """One (kind, system) cell of Fig 4b on a private simulator."""
     if system_name == "spdk":
-        sim, perf, _sys = _spdk_perf()
+        sim, perf, _sys = _spdk_perf(coarsening=coarsening)
         fn = perf.rand_read if kind == "rand_read" else perf.rand_write
     else:
-        sim, perf, _sys = _snacc_perf(StreamerVariant(system_name))
+        sim, perf, _sys = _snacc_perf(StreamerVariant(system_name),
+                                      coarsening=coarsening)
         fn = perf.rand_read if kind == "rand_read" else perf.rand_write
     run = sim.run_process(fn(transfer_bytes))
     return [ExperimentRow(kind, system_name, run.gbps, "GB/s",
@@ -105,15 +111,17 @@ def run_fig4b(transfer_bytes: int = 32 * MiB) -> ExperimentResult:
     return result
 
 
-def fig4c_point(system_name: str, samples: int) -> List[ExperimentRow]:
+def fig4c_point(system_name: str, samples: int,
+                coarsening: str = "train") -> List[ExperimentRow]:
     """Read+write latency rows for one system on a private simulator."""
     if system_name == "spdk":
-        sim, perf, _sys = _spdk_perf()
+        sim, perf, _sys = _spdk_perf(coarsening=coarsening)
         rl = sim.run_process(perf.latency_probe(IoOpcode.READ, samples))
         wl = sim.run_process(perf.latency_probe(IoOpcode.WRITE,
                                                 max(10, samples // 3)))
     else:
-        sim, perf, _sys = _snacc_perf(StreamerVariant(system_name))
+        sim, perf, _sys = _snacc_perf(StreamerVariant(system_name),
+                                      coarsening=coarsening)
         rl = sim.run_process(perf.read_latency(samples))
         wl = sim.run_process(perf.write_latency(max(10, samples // 3)))
     return [

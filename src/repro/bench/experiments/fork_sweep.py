@@ -74,7 +74,7 @@ class StormWorld:
 
 
 def storm_scenario(warm_bytes: int, branch_bytes: int, n_branches: int,
-                   ) -> Tuple[Callable[[], StormWorld],
+                   coarsening: str = "train") -> Tuple[Callable[[], StormWorld],
                               Callable[[StormWorld], None],
                               List[Callable[[StormWorld], Dict[str, Any]]]]:
     """The (setup, warm, branches) triple the scenario engine consumes.
@@ -87,7 +87,8 @@ def storm_scenario(warm_bytes: int, branch_bytes: int, n_branches: int,
         sim = Simulator()
         system = build_snacc_system(
             sim, StreamerVariant.URAM,
-            HostSystemConfig(functional=False, faults=_STORM_FAULTS))
+            HostSystemConfig(functional=False, faults=_STORM_FAULTS,
+                             coarsening=coarsening))
         system.initialize()
         world = StormWorld(system)
         # storm suspended for the shared prefix; draws still consumed
@@ -129,7 +130,8 @@ def storm_scenario(warm_bytes: int, branch_bytes: int, n_branches: int,
 
 
 def fork_sweep_point(n_branches: int, warm_bytes: int, branch_bytes: int,
-                     mechanism: str = "auto") -> List[ExperimentRow]:
+                     mechanism: str = "auto",
+                     coarsening: str = "train") -> List[ExperimentRow]:
     """Run the storm sweep once; rows are mechanism-independent.
 
     Payloads round-trip through JSON under every mechanism and the
@@ -139,7 +141,7 @@ def fork_sweep_point(n_branches: int, warm_bytes: int, branch_bytes: int,
     other point.
     """
     setup, warm, branches = storm_scenario(warm_bytes, branch_bytes,
-                                           n_branches)
+                                           n_branches, coarsening)
     engine = ScenarioEngine(setup, warm, mechanism=mechanism)
     rows: List[ExperimentRow] = []
     for payload in engine.run(branches):

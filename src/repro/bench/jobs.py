@@ -33,6 +33,7 @@ from typing import (Any, Callable, Collection, Dict, List, Optional,
                     Sequence, Tuple)
 
 from ..apps.case_study import CaseStudyResult, IMPLEMENTATIONS
+from ..sim.fifo import check_coarsening
 from ..units import KiB, MiB
 from .cache import ResultCache
 from .experiments.ablations import (ABLATION_TITLES, BURST_SIZES,
@@ -98,62 +99,80 @@ def _run_table1_point(variant: str) -> Any:
 
 
 def _run_fig4a_point(kind: str, system_name: str, transfer_bytes: int,
-                     repetitions: int) -> Any:
-    return rows_to_json(
-        fig4a_point(kind, system_name, transfer_bytes, repetitions))
+                     repetitions: int, coarsening: str = "train") -> Any:
+    return rows_to_json(fig4a_point(kind, system_name, transfer_bytes,
+                                    repetitions, coarsening=coarsening))
 
 
-def _run_fig4b_point(kind: str, system_name: str, transfer_bytes: int) -> Any:
-    return rows_to_json(fig4b_point(kind, system_name, transfer_bytes))
+def _run_fig4b_point(kind: str, system_name: str, transfer_bytes: int,
+                     coarsening: str = "train") -> Any:
+    return rows_to_json(fig4b_point(kind, system_name, transfer_bytes,
+                                    coarsening=coarsening))
 
 
-def _run_fig4c_point(system_name: str, samples: int) -> Any:
-    return rows_to_json(fig4c_point(system_name, samples))
+def _run_fig4c_point(system_name: str, samples: int,
+                     coarsening: str = "train") -> Any:
+    return rows_to_json(fig4c_point(system_name, samples,
+                                    coarsening=coarsening))
 
 
 def _run_case_study_point(implementation: str, n_images: int,
-                          warmup_images: int) -> Any:
-    return case_study_point(implementation, n_images, warmup_images).to_json()
+                          warmup_images: int,
+                          coarsening: str = "train") -> Any:
+    return case_study_point(implementation, n_images, warmup_images,
+                            coarsening=coarsening).to_json()
 
 
-def _run_ablation_qd_point(qd: int, total_bytes: int) -> Any:
-    return rows_to_json(ablation_queue_depth_point(qd, total_bytes))
+def _run_ablation_qd_point(qd: int, total_bytes: int,
+                           coarsening: str = "train") -> Any:
+    return rows_to_json(ablation_queue_depth_point(qd, total_bytes,
+                                                   coarsening=coarsening))
 
 
-def _run_ablation_ooo_point(policy: str, total_bytes: int) -> Any:
-    return rows_to_json(ablation_ooo_point(policy, total_bytes))
+def _run_ablation_ooo_point(policy: str, total_bytes: int,
+                            coarsening: str = "train") -> Any:
+    return rows_to_json(ablation_ooo_point(policy, total_bytes,
+                                           coarsening=coarsening))
 
 
-def _run_ablation_gen5_point(generation: str, kind: str,
-                             transfer_bytes: int) -> Any:
-    return rows_to_json(ablation_gen5_point(generation, kind, transfer_bytes))
+def _run_ablation_gen5_point(generation: str, kind: str, transfer_bytes: int,
+                             coarsening: str = "train") -> Any:
+    return rows_to_json(ablation_gen5_point(generation, kind, transfer_bytes,
+                                            coarsening=coarsening))
 
 
-def _run_ablation_multi_ssd_point(n: int, transfer_bytes: int) -> Any:
-    return rows_to_json(ablation_multi_ssd_point(n, transfer_bytes))
+def _run_ablation_multi_ssd_point(n: int, transfer_bytes: int,
+                                  coarsening: str = "train") -> Any:
+    return rows_to_json(ablation_multi_ssd_point(n, transfer_bytes,
+                                                 coarsening=coarsening))
 
 
-def _run_ablation_hbm_point(memory: str, n_ssds: int,
-                            transfer_bytes: int) -> Any:
-    return rows_to_json(ablation_hbm_point(memory, n_ssds, transfer_bytes))
+def _run_ablation_hbm_point(memory: str, n_ssds: int, transfer_bytes: int,
+                            coarsening: str = "train") -> Any:
+    return rows_to_json(ablation_hbm_point(memory, n_ssds, transfer_bytes,
+                                           coarsening=coarsening))
 
 
-def _run_ablation_burst_point(burst_label: str, transfer_bytes: int) -> Any:
-    return rows_to_json(ablation_burst_point(burst_label, transfer_bytes))
+def _run_ablation_burst_point(burst_label: str, transfer_bytes: int,
+                              coarsening: str = "train") -> Any:
+    return rows_to_json(ablation_burst_point(burst_label, transfer_bytes,
+                                             coarsening=coarsening))
 
 
 def _run_ablation_fc_point(fc_label: str, n_frames: int) -> Any:
     return rows_to_json(ablation_flow_control_point(fc_label, n_frames))
 
 
-def _run_ablation_bufsize_point(mib: int, transfer_bytes: int) -> Any:
-    return rows_to_json(ablation_buffer_size_point(mib, transfer_bytes))
+def _run_ablation_bufsize_point(mib: int, transfer_bytes: int,
+                                coarsening: str = "train") -> Any:
+    return rows_to_json(ablation_buffer_size_point(mib, transfer_bytes,
+                                                   coarsening=coarsening))
 
 
-def _run_ablation_faults_point(rate: float, rand_bytes: int,
-                               seq_bytes: int) -> Any:
-    return rows_to_json(
-        ablation_fault_rate_point(rate, rand_bytes, seq_bytes))
+def _run_ablation_faults_point(rate: float, rand_bytes: int, seq_bytes: int,
+                               coarsening: str = "train") -> Any:
+    return rows_to_json(ablation_fault_rate_point(
+        rate, rand_bytes, seq_bytes, coarsening=coarsening))
 
 
 def _run_fleet_scale_point(n_nodes: int, zipf_skew: float, n_requests: int,
@@ -171,14 +190,15 @@ def _run_fleet_incast_point(n_senders: int, put_mib: int,
 
 
 def _run_fork_sweep_point(n_branches: int, warm_bytes: int,
-                          branch_bytes: int) -> Any:
+                          branch_bytes: int, coarsening: str = "train") -> Any:
     # One job carries the WHOLE branchy sweep: the shared warm prefix
     # lives in process memory, so the branches cannot be split across
     # pool workers the way independent points are.  The payload is
     # mechanism-independent (fork on single-threaded POSIX workers,
     # replay elsewhere), so caching and --jobs N byte-identity hold.
     return rows_to_json(
-        fork_sweep_point(n_branches, warm_bytes, branch_bytes))
+        fork_sweep_point(n_branches, warm_bytes, branch_bytes,
+                         coarsening=coarsening))
 
 
 POINT_FUNCTIONS: Dict[str, Callable[..., Any]] = {
@@ -309,17 +329,16 @@ def build_plan(profile: str = "full",
 
     ``only`` keeps the named stages (ids from :data:`EXPERIMENTS`);
     unknown names raise ``ValueError`` listing the vocabulary.
-    ``coarsening`` selects the fleet kernel fast path (``"train"``, the
-    default) or the per-frame reference path (``"per_frame"``); both
-    produce byte-identical reports — the knob only changes wall-clock
-    (and the cache key, since it is part of the job kwargs).
+    ``coarsening`` selects the coarsened fast paths (``"train"``, the
+    default) or the per-unit reference paths (``"per_frame"``) of every
+    simulating job; both produce byte-identical reports — the knob only
+    changes wall-clock (and the cache key, since it is part of the job
+    kwargs).
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
                          f"choose from {sorted(PROFILES)}")
-    if coarsening not in ("train", "per_frame"):
-        raise ValueError(f"unknown coarsening {coarsening!r}; "
-                         f"choose from ['per_frame', 'train']")
+    check_coarsening(coarsening)
     sizes = PROFILES[profile]
     if only is not None:
         unknown = sorted(set(only) - set(EXPERIMENTS))
@@ -335,59 +354,69 @@ def build_plan(profile: str = "full",
         Stage("Fig 4a", "fig4a",
               [_job("fig4a", f"{kind}/{name}", "fig4a_point", kind=kind,
                     system_name=name, transfer_bytes=sizes["seq_bytes"],
-                    repetitions=2)
+                    repetitions=2,
+                    coarsening=coarsening)
                for kind in ("seq_read", "seq_write") for name in SYSTEMS],
               _merge_rows("fig4a", "sequential NVMe bandwidth (GB/s)")),
         Stage("Fig 4b", "fig4b",
               [_job("fig4b", f"{kind}/{name}", "fig4b_point", kind=kind,
-                    system_name=name, transfer_bytes=sizes["rand_bytes"])
+                    system_name=name, transfer_bytes=sizes["rand_bytes"],
+                    coarsening=coarsening)
                for kind in ("rand_read", "rand_write") for name in SYSTEMS],
               _merge_rows("fig4b", "random 4 KiB NVMe bandwidth (GB/s)")),
         Stage("Fig 4c", "fig4c",
               [_job("fig4c", name, "fig4c_point", system_name=name,
-                    samples=sizes["fig4c_samples"])
+                    samples=sizes["fig4c_samples"],
+                    coarsening=coarsening)
                for name in SYSTEMS],
               _merge_rows("fig4c", "single 4 KiB access latency (us)")),
         Stage("case study", "case_study",
               [_job("case_study", impl, "case_study_point",
                     implementation=impl, n_images=sizes["images"],
-                    warmup_images=sizes["warmup_images"])
+                    warmup_images=sizes["warmup_images"],
+                    coarsening=coarsening)
                for impl in IMPLEMENTATIONS],
               _merge_case_study),
         Stage("A1 queue depth", "ablation_qd",
               [_job("ablation_qd", f"qd{qd}", "ablation_qd_point", qd=qd,
-                    total_bytes=sizes["qd_bytes"])
+                    total_bytes=sizes["qd_bytes"],
+                    coarsening=coarsening)
                for qd in (16, 64, 256)],
               _merge_rows("ablation_qd", ABLATION_TITLES["ablation_qd"])),
         Stage("A2 retirement", "ablation_ooo",
               [_job("ablation_ooo", policy, "ablation_ooo_point",
-                    policy=policy, total_bytes=sizes["ooo_bytes"])
+                    policy=policy, total_bytes=sizes["ooo_bytes"],
+                    coarsening=coarsening)
                for policy in ("in_order", "out_of_order")],
               _merge_rows("ablation_ooo", ABLATION_TITLES["ablation_ooo"])),
         Stage("A3 Gen5", "ablation_gen5",
               [_job("ablation_gen5", f"{generation}/{kind}",
                     "ablation_gen5_point", generation=generation, kind=kind,
-                    transfer_bytes=sizes["gen5_bytes"])
+                    transfer_bytes=sizes["gen5_bytes"],
+                    coarsening=coarsening)
                for generation in ("gen4", "gen5")
                for kind in ("seq_read", "seq_write")],
               _merge_rows("ablation_gen5", ABLATION_TITLES["ablation_gen5"])),
         Stage("A4 multi-SSD", "ablation_multi_ssd",
               [_job("ablation_multi_ssd", f"{n}_ssd",
                     "ablation_multi_ssd_point", n=n,
-                    transfer_bytes=sizes["multi_ssd_bytes"])
+                    transfer_bytes=sizes["multi_ssd_bytes"],
+                    coarsening=coarsening)
                for n in (1, 2)],
               _merge_rows("ablation_multi_ssd",
                           ABLATION_TITLES["ablation_multi_ssd"])),
         Stage("A6 buffer memory", "ablation_hbm",
               [_job("ablation_hbm", memory, "ablation_hbm_point",
                     memory=memory, n_ssds=2,
-                    transfer_bytes=sizes["hbm_bytes"])
+                    transfer_bytes=sizes["hbm_bytes"],
+                    coarsening=coarsening)
                for memory in HBM_MEMORIES],
               _merge_rows("ablation_hbm", ABLATION_TITLES["ablation_hbm"])),
         Stage("A5 burst coalescing", "ablation_burst",
               [_job("ablation_burst", burst_label, "ablation_burst_point",
                     burst_label=burst_label,
-                    transfer_bytes=sizes["burst_bytes"])
+                    transfer_bytes=sizes["burst_bytes"],
+                    coarsening=coarsening)
                for burst_label in BURST_SIZES],
               _merge_rows("ablation_burst",
                           ABLATION_TITLES["ablation_burst"])),
@@ -399,7 +428,8 @@ def build_plan(profile: str = "full",
         Stage("A8 buffer size", "ablation_bufsize",
               [_job("ablation_bufsize", f"{mib}MiB",
                     "ablation_bufsize_point", mib=mib,
-                    transfer_bytes=sizes["bufsize_bytes"])
+                    transfer_bytes=sizes["bufsize_bytes"],
+                    coarsening=coarsening)
                for mib in (2, 4, 8)],
               _merge_rows("ablation_bufsize",
                           ABLATION_TITLES["ablation_bufsize"])),
@@ -407,7 +437,8 @@ def build_plan(profile: str = "full",
               [_job("ablation_faults", f"rate{rate:g}",
                     "ablation_faults_point", rate=rate,
                     rand_bytes=sizes["fault_rand_bytes"],
-                    seq_bytes=sizes["fault_seq_bytes"])
+                    seq_bytes=sizes["fault_seq_bytes"],
+                    coarsening=coarsening)
                for rate in DEFAULT_FAULT_RATES],
               _merge_rows(
                   "ablation_faults",
@@ -438,7 +469,8 @@ def build_plan(profile: str = "full",
                     "fork_sweep_point",
                     n_branches=sizes["fork_branches"],
                     warm_bytes=sizes["fork_warm_bytes"],
-                    branch_bytes=sizes["fork_branch_bytes"])],
+                    branch_bytes=sizes["fork_branch_bytes"],
+                    coarsening=coarsening)],
               _merge_rows("fork_sweep", FORK_SWEEP_TITLE)),
     ]
     if only is not None:

@@ -115,6 +115,12 @@ class _UramWindowHandler(BarHandler):
             return self._prp_mirror_read(offset, nbytes)
         return st._uram.timed_read(offset, nbytes, functional=functional)
 
+    def fifo_read(self, offset: int, nbytes: int):
+        st = self.streamer
+        if offset >= st.config.uram_buffer_bytes:
+            return None
+        return st._uram.fifo_read(offset, nbytes)
+
     def _prp_mirror_read(self, offset: int, nbytes: int,
                          ) -> Generator[Event, Any, Optional[np.ndarray]]:
         st = self.streamer

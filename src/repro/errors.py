@@ -74,3 +74,7 @@ class FrameDropError(EthernetError):
 
 class ConfigError(ReproError):
     """Invalid configuration of a simulated component."""
+
+
+class CoarseningError(ConfigError, ValueError):
+    """An unknown coarsening mode (see ``repro.sim.fifo.COARSENING_MODES``)."""

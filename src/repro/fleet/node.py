@@ -28,6 +28,7 @@ from ..errors import ConfigError
 from ..net.frame import EthernetFrame
 from ..net.mac import EthernetMac
 from ..sim.core import Simulator
+from ..sim.fifo import check_coarsening
 from ..sim.resources import Resource
 from ..sim.stats import BandwidthMeter, LatencyCollector
 from ..units import KiB, ns_for_bytes
@@ -54,10 +55,7 @@ class FleetNode:
             raise ConfigError("need base_latency_ns >= 0, queue_depth >= 1")
         if read_chunk_bytes < frame_payload:
             raise ConfigError("read_chunk_bytes must be >= frame_payload")
-        if coarsening not in ("train", "per_frame"):
-            raise ConfigError(
-                f"coarsening must be 'train' or 'per_frame', "
-                f"got {coarsening!r}")
+        check_coarsening(coarsening)
         self.sim = sim
         self.name = name
         self.mac = mac
@@ -218,10 +216,7 @@ class ClientGateway:
     def __init__(self, sim: Simulator, name: str, mac: EthernetMac,
                  placement: Optional[LoadAwarePlacement] = None,
                  frame_payload: int = 8192, coarsening: str = "train"):
-        if coarsening not in ("train", "per_frame"):
-            raise ConfigError(
-                f"coarsening must be 'train' or 'per_frame', "
-                f"got {coarsening!r}")
+        check_coarsening(coarsening)
         self.sim = sim
         self.name = name
         self.mac = mac

@@ -75,7 +75,11 @@ class Memory:
             raise ValueError(f"size must be > 0, got {size}")
         self.size = size
         self.name = name
-        self._data = np.full(size, fill, dtype=np.uint8)
+        # zero-filled buffers come from calloc: pages cost resident memory
+        # only once touched, so timing-only runs that never store a byte
+        # do not pay for the whole buffer
+        self._data = (np.zeros(size, dtype=np.uint8) if fill == 0
+                      else np.full(size, fill, dtype=np.uint8))
 
     def _check(self, addr: int, nbytes: int) -> None:
         if nbytes < 0:

@@ -65,6 +65,11 @@ class HostDram(TimedMemory):
         finally:
             port.release()
 
+    def fifo_read(self, addr: int, nbytes: int):
+        """The read port and busy time of ``timed_read`` (a FIFO access)."""
+        self.backing._check(addr, nbytes)
+        return self._ports["read"], self._busy_ns(nbytes), self
+
     # Flat overrides (DESIGN.md §5): same behavior as the base-class
     # timed_read/timed_write driving _service, one less delegation frame
     # per event — host DRAM serves every host-path transfer and SQE/CQE of

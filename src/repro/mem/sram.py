@@ -57,6 +57,11 @@ class SramMemory(TimedMemory):
         finally:
             port.release()
 
+    def fifo_read(self, addr: int, nbytes: int):
+        """The read port and busy time of ``timed_read`` (a FIFO access)."""
+        self.backing._check(addr, nbytes)
+        return self._ports["read"], self._busy_ns(nbytes), self
+
     # Flat overrides (DESIGN.md §5): identical behavior to the base-class
     # timed_read/timed_write driving _service, minus one delegation frame
     # on every event resume — this is the BAR data path of the URAM

@@ -112,6 +112,20 @@ class TimedMemory:
         if arr is not None:
             self.backing.write(addr, arr)
 
+    def _credit_read(self, nbytes: int) -> None:
+        """Count one completed read (the stats tail of ``timed_read``)."""
+        self.stats.reads += 1
+        self.stats.read_bytes += nbytes
+
+    def fifo_read(self, addr: int, nbytes: int):
+        """``(port, busy_ns, self)`` when ``timed_read`` is one fixed-service
+        FIFO access — acquire *port*, hold it *busy_ns*, release, count —
+        else None.  Coarsened DMA reads compute such accesses instead of
+        simulating them (DESIGN.md §11.7); a memory with state-dependent
+        service (DRAM read/write turnaround) keeps the default None.
+        """
+        return None
+
     # -- to be provided by subclasses -----------------------------------------
     def _service(self, direction: str, addr: int, nbytes: int):
         """Generator advancing time for one access (subclass hook)."""

@@ -13,6 +13,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..sim.core import Process, Simulator
+from ..sim.fifo import check_coarsening
 from .frame import EthernetFrame, MAX_PAYLOAD_BYTES
 from .mac import EthernetMac
 
@@ -39,10 +40,7 @@ class FrameStreamSource:
             raise ConfigError(f"frame payload {frame_payload} out of range")
         if total_bytes <= 0:
             raise ConfigError("total_bytes must be > 0")
-        if coarsening not in ("train", "per_frame"):
-            raise ConfigError(
-                f"coarsening must be 'train' or 'per_frame', "
-                f"got {coarsening!r}")
+        check_coarsening(coarsening)
         self.sim = sim
         self.mac = mac
         self.total_bytes = total_bytes

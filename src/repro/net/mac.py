@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from ..errors import ConfigError, EthernetError
 from ..sim.core import Event, Simulator
+from ..sim.fifo import check_coarsening
 from ..sim.resources import Resource
 from ..units import KiB, ns_for_bytes
 from .frame import PAUSE_ETHERTYPE, EthernetFrame, pause_frame
@@ -42,10 +43,7 @@ class EthernetMac:
             raise ConfigError("rate must be > 0")
         if not 0 < pause_low_watermark < pause_high_watermark < 1:
             raise ConfigError("need 0 < low < high < 1 watermarks")
-        if coarsening not in ("train", "per_frame"):
-            raise ConfigError(
-                f"coarsening must be 'train' or 'per_frame', "
-                f"got {coarsening!r}")
+        check_coarsening(coarsening)
         self.sim = sim
         self.name = name
         self.rate_gbps = rate_gbps

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigError, EthernetError, SimulationError
 from ..sim.core import Event, Simulator
+from ..sim.fifo import check_coarsening
 from ..sim.resources import Store
 from ..units import KiB, ns_for_bytes
 from .frame import EthernetFrame
@@ -690,10 +691,7 @@ class EthernetSwitch:
             raise ConfigError(f"a switch needs >= 2 ports, got {n_ports}")
         if egress_frames < 1:
             raise ConfigError("egress_frames must be >= 1")
-        if coarsening not in ("train", "per_frame"):
-            raise ConfigError(
-                f"coarsening must be 'train' or 'per_frame', "
-                f"got {coarsening!r}")
+        check_coarsening(coarsening)
         if port_rates is not None and len(port_rates) != n_ports:
             raise ConfigError(
                 f"port_rates has {len(port_rates)} entries for "

@@ -29,6 +29,7 @@ from ..errors import InvalidCommandError, NVMeError, NamespaceError
 from ..mem.base import as_bytes_array
 from ..pcie.root_complex import BarHandler, PcieEndpoint
 from ..sim.core import Event, Interrupt, Simulator
+from ..sim.fifo import check_coarsening
 from ..sim.resources import Resource
 from ..units import PAGE
 from .command import CompletionEntry, SubmissionEntry
@@ -39,6 +40,7 @@ from .queues import DOORBELL_BASE, DOORBELL_STRIDE
 from .spec import (AdminOpcode, CQE_BYTES, IoOpcode, PRPS_PER_LIST_PAGE,
                    SQE_BYTES, StatusCode)
 from .ssd import SsdBackend
+from .write_stream import WriteStream
 
 __all__ = ["NvmeController", "ControllerStats"]
 
@@ -101,7 +103,8 @@ class NvmeController(BarHandler):
 
     def __init__(self, sim: Simulator, endpoint: PcieEndpoint,
                  backend: SsdBackend, namespace: Namespace,
-                 name: str = "nvme0", functional: bool = True):
+                 name: str = "nvme0", functional: bool = True,
+                 coarsening: str = "train"):
         self.sim = sim
         self.endpoint = endpoint
         self.backend = backend
@@ -123,6 +126,13 @@ class NvmeController(BarHandler):
         self._fault_site = None
         self._fault_cfg = None
         self._fault_stats = None
+        #: the coarsened payload-fetch path (DESIGN.md §11.7): timing-only
+        #: controllers in "train" mode; functional runs keep per-page reads
+        self._stream = (WriteStream(self)
+                        if check_coarsening(coarsening) == "train"
+                        and not functional else None)
+        #: write commands on the per-page path (never beside the stream)
+        self._per_page_writes = 0
 
     def attach_faults(self, plan, stats) -> None:
         """Inject seeded command failures / CQE delays (repro.faults).
@@ -136,6 +146,9 @@ class NvmeController(BarHandler):
         self._fault_site = plan.site(f"{self.name}.cmd")
         self._fault_cfg = cfg
         self._fault_stats = stats
+        if self._stream is not None:  # an armed plan keeps writes per page
+            self._stream.detach()
+            self._stream = None
 
     # ------------------------------------------------------------------ admin
     def configure_admin_queues(self, asq_addr: int, asq_entries: int,
@@ -425,13 +438,13 @@ class NvmeController(BarHandler):
         # the paper-faithful per-page fetch; _coalesce then yields one run
         # per page, identical to the uncoalesced loop).
         runs = self._coalesce(pages, nbytes, self.profile.fetch_span_pages)
-        chunks: List[Optional[np.ndarray]] = [None] * len(runs)
-        jobs = []
-        for idx, (addr, size) in enumerate(runs):
-            jobs.append(self.sim.process(self._fetch_and_program(
-                addr, size, idx, chunks,
-                extra_ns=self.profile.write_cmd_overhead_ns if idx == 0 else 0)))
-        yield self.sim.all_of(jobs)
+        programs = self._stream_programs(runs)
+        if programs is not None:
+            chunks = None  # the stream is timing-only
+            yield from self._stream.write(runs, programs,
+                                          self.profile.write_cmd_overhead_ns)
+        else:
+            chunks = yield from self._write_per_page(runs)
 
         if self.functional:
             payload = np.concatenate([c for c in chunks])[:nbytes]
@@ -440,6 +453,34 @@ class NvmeController(BarHandler):
         self.stats.writes_completed += 1
         self.stats.written_bytes += nbytes
         return StatusCode.SUCCESS, 0
+
+    def _stream_programs(self, runs):
+        """The fetch programs of *runs* when the write stream takes the
+        command, else None.  The stream takes every write while it is
+        busy and starts only on a command it can take whole; any other
+        command runs per page, with the program engine to itself."""
+        stream = self._stream
+        if stream is None or self._per_page_writes:
+            return None
+        programs = stream.describe(runs)
+        if stream.active or None not in programs:
+            return programs
+        return None
+
+    def _write_per_page(self, runs):
+        """The reference payload path: one process per fetch."""
+        self._per_page_writes += 1
+        chunks: List[Optional[np.ndarray]] = [None] * len(runs)
+        jobs = []
+        for idx, (addr, size) in enumerate(runs):
+            jobs.append(self.sim.process(self._fetch_and_program(
+                addr, size, idx, chunks,
+                extra_ns=self.profile.write_cmd_overhead_ns if idx == 0 else 0)))
+        try:
+            yield self.sim.all_of(jobs)
+        finally:
+            self._per_page_writes -= 1
+        return chunks
 
     def _fetch_and_program(self, addr: int, size: int, idx: int,
                            chunks: list, extra_ns: int):

@@ -49,14 +49,21 @@ class NvmeDevice:
 
 
 def build_nvme_device(sim: Simulator, fabric: PcieFabric,
-                      config: NvmeDeviceConfig = NvmeDeviceConfig()) -> NvmeDevice:
-    """Attach a complete NVMe SSD to *fabric* and return its handles."""
+                      config: NvmeDeviceConfig = NvmeDeviceConfig(),
+                      coarsening: str = "train") -> NvmeDevice:
+    """Attach a complete NVMe SSD to *fabric* and return its handles.
+
+    *coarsening* selects the controller's write payload-fetch path
+    (DESIGN.md §11.7): ``"train"`` computes it while quiescent,
+    ``"per_frame"`` keeps one process per fetched page.
+    """
     endpoint = fabric.attach_endpoint(config.name, config.link,
                                       max_read_tags=64)
     backend = SsdBackend(sim, config.profile)
     namespace = Namespace(config.capacity_bytes)
     controller = NvmeController(sim, endpoint, backend, namespace,
-                                name=config.name, functional=config.functional)
+                                name=config.name, functional=config.functional,
+                                coarsening=coarsening)
     fabric.add_bar(endpoint, config.bar_base, NVME_BAR_SIZE, controller,
                    name=f"{config.name}.bar0")
     return NvmeDevice(config=config, endpoint=endpoint, backend=backend,

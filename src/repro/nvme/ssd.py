@@ -36,7 +36,14 @@ class SsdBackend:
         self._array = Resource(sim, 1, name="nand.array")
         #: serialized program engine (write drain)
         self._program = Resource(sim, 1, name="nand.program")
-        self.programmed_bytes = 0
+        #: settled programmed-byte count (read via :attr:`programmed_bytes`)
+        self._programmed = 0
+        #: page program time per write phase
+        self._page_ns = (ns_for_bytes(PAGE, profile.write_phase_a_gbps),
+                         ns_for_bytes(PAGE, profile.write_phase_b_gbps))
+        #: settles a lazily credited writer (the NVMe write stream) before
+        #: the count is observed; None when nothing credits lazily
+        self.settle_hook = None
         self.read_bytes = 0
         self._rng = np.random.default_rng(profile.rand_seed)
         # Two-point service distribution preserving the mean: the slow path
@@ -52,15 +59,36 @@ class SsdBackend:
 
     # -- write phase ------------------------------------------------------------
     @property
+    def programmed_bytes(self) -> int:
+        """Bytes the program engine finished, exact at the current instant."""
+        if self.settle_hook is not None:
+            self.settle_hook()
+        return self._programmed
+
+    @programmed_bytes.setter
+    def programmed_bytes(self, value: int) -> None:
+        if self.settle_hook is not None:
+            self.settle_hook()
+        self._programmed = value
+
+    @property
     def write_phase(self) -> int:
         """0 = fast phase, 1 = slow phase (toggles per phase period)."""
-        return (self.programmed_bytes // self.profile.write_phase_period_bytes) % 2
+        return self.phase_at(self.programmed_bytes)
+
+    def phase_at(self, programmed: int) -> int:
+        """The internal write phase after *programmed* bytes."""
+        return (programmed // self.profile.write_phase_period_bytes) % 2
 
     @property
     def current_write_gbps(self) -> float:
         """Program rate of the current phase."""
         return (self.profile.write_phase_a_gbps if self.write_phase == 0
                 else self.profile.write_phase_b_gbps)
+
+    def page_program_ns(self, programmed: int) -> int:
+        """Program time of one page once *programmed* bytes are done."""
+        return self._page_ns[self.phase_at(programmed)]
 
     def advance_write_phase(self) -> None:
         """Skip to the start of the next internal phase (test/bench control)."""
@@ -130,11 +158,11 @@ class SsdBackend:
             raise ConfigError(f"program_pages of {npages} pages")
         yield self._program.acquire()
         try:
-            per_page = ns_for_bytes(PAGE, self.current_write_gbps)
+            per_page = self.page_program_ns(self._programmed)
             yield self.sim.timeout(npages * per_page + extra_ns)
         finally:
             self._program.release()
-        self.programmed_bytes += npages * PAGE
+        self._programmed += npages * PAGE
 
     def write_ack_latency(self):
         """Generator: cache-acknowledge latency after the last page arrives."""

@@ -26,7 +26,7 @@ correct side of the sampling point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..errors import ConfigError, PCIeError
 from ..sim.core import Event, Simulator
@@ -129,6 +129,19 @@ class PcieLink:
         self._fault_cfg = None
         self._fault_stats = None
         self._fault_sites: Dict[str, object] = {}
+        #: settle callbacks of lazy writers (the NVMe write stream credits
+        #: its computed transfers when a counter is observed)
+        self.settle_hooks: List[Callable[[], None]] = []
+
+    def _credit_up(self, wire: int) -> None:
+        self.wire_bytes["up"] += wire
+
+    def _credit_down(self, wire: int) -> None:
+        self.wire_bytes["down"] += wire
+
+    def _settle_lazy(self) -> None:
+        for fn in self.settle_hooks:
+            fn()
 
     def attach_faults(self, plan, stats) -> None:
         """Inject seeded TLP loss/corruption answered by replay.
@@ -330,12 +343,14 @@ class PcieLink:
     def crossed_bytes(self, direction: str) -> int:
         """Wire bytes that crossed *direction*, including the completed
         chunks of any elastic span currently in flight."""
+        self._settle_lazy()
         self._settle(direction)
         return self.wire_bytes[direction]
 
     @property
     def total_wire_bytes(self) -> int:
         """Wire bytes across both directions since the last reset."""
+        self._settle_lazy()
         self._settle("up")
         self._settle("down")
         return self.wire_bytes["up"] + self.wire_bytes["down"]
@@ -347,6 +362,7 @@ class PcieLink:
         are settled (and discarded) first, so the post-reset counters only
         accumulate bytes serialized after this point.
         """
+        self._settle_lazy()
         self._settle("up")
         self._settle("down")
         self.wire_bytes["up"] = 0

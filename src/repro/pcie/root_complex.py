@@ -24,6 +24,7 @@ from ..mem.address_map import AddressMap
 from ..mem.base import BytesLike, as_bytes_array
 from ..mem.hostmem import HostDram
 from ..sim.core import Simulator
+from ..sim.fifo import ACQ, CALL, REL, WAIT, Program
 from ..sim.resources import Resource
 from .iommu import Iommu
 from .link import LinkParams, PcieLink
@@ -54,6 +55,13 @@ class BarHandler:
         raise NotImplementedError
         yield  # pragma: no cover
 
+    def fifo_read(self, offset: int, nbytes: int):
+        """``(port, busy_ns, memory)`` when a read of *nbytes* at *offset*
+        is one fixed-service FIFO access (see ``TimedMemory.fifo_read``),
+        else None — the default, which keeps coarsened DMA reads off
+        this window (DESIGN.md §11.7)."""
+        return None
+
 
 @dataclass(frozen=True)
 class _HostMemTarget:
@@ -78,6 +86,8 @@ class PcieEndpoint:
         self.read_tags = Resource(fabric.sim, max_read_tags, name=f"{name}.tags")
         #: memoized ``tlp.read_requests(nbytes)`` (sizes repeat heavily)
         self._nreq_cache: Dict[int, int] = {}
+        #: memoized step programs of coarsenable reads (see read_program)
+        self._program_cache: Dict[tuple, tuple] = {}
 
     # -- DMA issued by this device -------------------------------------------
     def dma_read(self, addr: int, nbytes: int, functional: bool = True):
@@ -227,6 +237,120 @@ class PcieFabric:
             return data
         finally:
             requester.read_tags.release()
+
+    def read_program(self, requester: PcieEndpoint, addr: int, nbytes: int):
+        """``(program, resources)`` of a DMA read as a FIFO step
+        :class:`~repro.sim.fifo.Program`, or None when the read is not a fixed
+        chain of FIFO servers: an armed fault plan on either link, a
+        transfer longer than one link chunk, or a target without a
+        fixed-service read port (``fifo_read`` returns None).
+
+        Running the program on real resources replays :meth:`_dma_read`
+        step for step — the same acquires, timeouts, releases and counter
+        credits in the same order — which is what lets the NVMe write
+        stream compute it arithmetically instead (DESIGN.md §11.7).
+        """
+        if nbytes <= 0:
+            return None
+        try:
+            self.iommu.check(requester.name, addr, nbytes)
+            target, offset = self._decode(addr, nbytes)
+            if isinstance(target, _HostMemTarget):
+                peer = None
+                port, busy, mem = target.mem.fifo_read(offset, nbytes)
+            else:
+                peer = target.endpoint
+                fifo = target.handler.fifo_read(offset, nbytes)
+                if fifo is None:
+                    return None
+                port, busy, mem = fifo
+        except Exception:  # the reference path raises it at the read
+            return None
+        key = (peer, port, busy, mem, nbytes)
+        cached = requester._program_cache.get(key)
+        if cached is not None:
+            return cached
+        rlink = requester.link
+        nreq = rlink.params.tlp.read_requests(nbytes)
+        req = rlink.plan_single_chunk(0, raw_wire_bytes=nreq * MEMRD_REQUEST_BYTES)
+        down = rlink.plan_single_chunk(nbytes)
+        up = None if peer is None else peer.link.plan_single_chunk(nbytes)
+        if req is None or down is None or (peer is not None and up is None):
+            return None
+        resources = [requester.read_tags, rlink._dirs["up"], port,
+                     rlink._dirs["down"]]
+        tags, r_up, mport, r_down = 0, 1, 2, 3
+        steps = [(ACQ, tags, None),
+                 (ACQ, r_up, None), (WAIT, req[0], None), (REL, r_up, None),
+                 (CALL, rlink._credit_up, req[1])]
+        if peer is None:
+            steps += [(WAIT, rlink.params.propagation_ns + self.rc_forward_ns,
+                       None),
+                      (ACQ, mport, None), (WAIT, busy, None),
+                      (REL, mport, None), (CALL, mem._credit_read, nbytes),
+                      (CALL, self._record_host, nbytes)]
+        else:
+            plink = peer.link
+            resources.append(plink._dirs["up"])
+            p_up = 4
+            steps += [(WAIT, rlink.params.propagation_ns + self.rc_forward_ns
+                       + plink.params.propagation_ns, None),
+                      (ACQ, mport, None), (WAIT, busy, None),
+                      (REL, mport, None), (CALL, mem._credit_read, nbytes),
+                      (ACQ, p_up, None), (WAIT, up[0], None),
+                      (REL, p_up, None), (CALL, plink._credit_up, up[1]),
+                      (WAIT, plink.params.propagation_ns + self.rc_forward_ns,
+                       None),
+                      (CALL, self._record_segment, (peer.name, nbytes))]
+        steps += [(ACQ, r_down, None), (WAIT, down[0], None),
+                  (REL, r_down, None), (CALL, rlink._credit_down, down[1]),
+                  (WAIT, rlink.params.propagation_ns, None),
+                  (CALL, self._record_segment, (requester.name, nbytes)),
+                  (REL, tags, None)]
+        program = (Program(steps), tuple(resources))
+        requester._program_cache[key] = program
+        return program
+
+    def read_programs(self, requester: PcieEndpoint, runs):
+        """:meth:`read_program` of every ``(addr, nbytes)`` run, in order.
+
+        A stretch of equal-size contiguous runs shares one program when
+        the whole span decodes to one window, passes the IOMMU as one
+        range, and has the same program at both ends — the case of every
+        page of a command's buffer — so it is described once.
+        """
+        programs = []
+        i, n = 0, len(runs)
+        while i < n:
+            addr, nbytes = runs[i]
+            program = self.read_program(requester, addr, nbytes)
+            programs.append(program)
+            i += 1
+            if program is None:
+                continue
+            j = i
+            while (j < n and runs[j][1] == nbytes
+                   and runs[j][0] == runs[j - 1][0] + nbytes):
+                j += 1
+            if j == i:
+                continue
+            span = runs[j - 1][0] + nbytes - addr
+            try:
+                self.iommu.check(requester.name, addr, span)
+                self._decode(addr, span)
+            except Exception:  # described page by page instead
+                continue
+            if self.read_program(requester, runs[j - 1][0],
+                                 nbytes) is program:
+                programs.extend([program] * (j - i))
+                i = j
+        return programs
+
+    def _record_host(self, nbytes: int) -> None:
+        self.traffic.record(HOST_SEGMENT, nbytes)
+
+    def _record_segment(self, arg) -> None:
+        self.traffic.record(arg[0], arg[1])
 
     def _dma_write(self, requester: PcieEndpoint, addr: int,
                    data: Optional[BytesLike], nbytes: Optional[int]):

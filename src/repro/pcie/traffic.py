@@ -8,7 +8,7 @@ reproduced here by summing segment counters after a run.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict, List
 
 __all__ = ["TrafficAccountant"]
 
@@ -19,6 +19,13 @@ class TrafficAccountant:
     def __init__(self):
         self._bytes: Dict[str, int] = {}
         self._ops: Dict[str, int] = {}
+        #: settle callbacks of lazy writers, run before every observation
+        #: (the NVMe write stream credits its computed reads on demand)
+        self.settle_hooks: List[Callable[[], None]] = []
+
+    def _settle(self) -> None:
+        for fn in self.settle_hooks:
+            fn()
 
     def record(self, segment: str, nbytes: int) -> None:
         """Add *nbytes* of payload crossing *segment*."""
@@ -29,22 +36,27 @@ class TrafficAccountant:
 
     def bytes_on(self, segment: str) -> int:
         """Payload bytes seen on *segment* so far."""
+        self._settle()
         return self._bytes.get(segment, 0)
 
     def ops_on(self, segment: str) -> int:
         """Operations recorded on *segment* so far."""
+        self._settle()
         return self._ops.get(segment, 0)
 
     @property
     def total_bytes(self) -> int:
         """Payload bytes summed over all segments (Fig 7 metric)."""
+        self._settle()
         return sum(self._bytes.values())
 
     def snapshot(self) -> Dict[str, int]:
         """Copy of the per-segment byte counters."""
+        self._settle()
         return dict(self._bytes)
 
     def reset(self) -> None:
         """Zero all counters (e.g. after initialization traffic)."""
+        self._settle()
         self._bytes.clear()
         self._ops.clear()

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .errors import ConfigError
 from .faults.plan import FaultConfig, FaultPlan
 from .mem.base import AddressRange
 from .mem.hostmem import HostDram, PinnedAllocator
@@ -21,6 +20,7 @@ from .nvme.profiles import SsdPerfProfile
 from .pcie.iommu import Iommu
 from .pcie.root_complex import PcieFabric
 from .sim.core import Simulator
+from .sim.fifo import check_coarsening
 from .sim.stats import FaultStats
 from .spdk.cpu import CpuThread
 from .spdk.driver import SpdkConfig, SpdkNvmeDriver
@@ -46,16 +46,14 @@ class HostSystemConfig:
     #: fault injection + recovery policy (repro.faults); None — or a config
     #: with every rate at zero — leaves the system entirely fault-free
     faults: Optional[FaultConfig] = None
-    #: Ethernet transfer coarsening for models driven from this config:
-    #: "train" = frame-train fast path (byte-identical, fewer events),
-    #: "per_frame" = the classic reference path (DESIGN.md §11)
+    #: event coarsening of every model built from this config — the NVMe
+    #: write payload-fetch stream and the Ethernet MACs/generators:
+    #: "train" = coarsened fast paths (byte-identical, fewer events),
+    #: "per_frame" = the per-unit reference paths (DESIGN.md §11)
     coarsening: str = "train"
 
     def __post_init__(self) -> None:
-        if self.coarsening not in ("train", "per_frame"):
-            raise ConfigError(
-                f"coarsening must be 'train' or 'per_frame', "
-                f"got {self.coarsening!r}")
+        check_coarsening(self.coarsening)
 
     def with_profile(self, profile: SsdPerfProfile) -> "HostSystemConfig":
         """Copy of this config with a different SSD perf profile."""
@@ -99,7 +97,7 @@ def build_host_system(sim: Simulator,
     allocator = PinnedAllocator(
         AddressRange(HOST_MEM_BASE, config.pinned_region_bytes))
     ssd_cfg = replace(config.ssd, functional=config.functional)
-    ssd = build_nvme_device(sim, fabric, ssd_cfg)
+    ssd = build_nvme_device(sim, fabric, ssd_cfg, coarsening=config.coarsening)
     cpu = CpuThread(sim, name="host.cpu0")
     plan: Optional[FaultPlan] = None
     stats: Optional[FaultStats] = None

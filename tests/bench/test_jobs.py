@@ -135,20 +135,24 @@ class TestRowSerialization:
 
 
 class TestCoarseningPlan:
-    def test_coarsening_reaches_only_fleet_jobs(self):
+    def test_coarsening_reaches_every_simulating_job(self):
+        # every job that builds a host system (or a fleet) carries the
+        # knob, so it is part of each cache key and a per_frame run
+        # re-simulates them all; table1 and the MAC-only A7 build none
         plan = build_plan("tiny", coarsening="per_frame")
         for stage in plan:
             for spec in stage.jobs:
                 kwargs = spec.kwargs_dict()
-                if stage.experiment == "fleet":
-                    assert kwargs["coarsening"] == "per_frame", spec.label
-                else:
+                if stage.experiment in ("table1", "ablation_fc"):
                     assert "coarsening" not in kwargs, spec.label
+                else:
+                    assert kwargs["coarsening"] == "per_frame", spec.label
 
     def test_default_plan_uses_train(self):
-        plan = build_plan("tiny", only={"fleet"})
-        for spec in plan[0].jobs:
-            assert spec.kwargs_dict()["coarsening"] == "train"
+        plan = build_plan("tiny", only={"fleet", "fig4a"})
+        for stage in plan:
+            for spec in stage.jobs:
+                assert spec.kwargs_dict()["coarsening"] == "train"
 
     def test_unknown_coarsening_rejected(self):
         with pytest.raises(ValueError, match="unknown coarsening"):
