@@ -9,7 +9,7 @@ returns a copy so later writes cannot alias into in-flight data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -75,11 +75,16 @@ class Memory:
             raise ValueError(f"size must be > 0, got {size}")
         self.size = size
         self.name = name
-        # zero-filled buffers come from calloc: pages cost resident memory
-        # only once touched, so timing-only runs that never store a byte
-        # do not pay for the whole buffer
-        self._data = (np.zeros(size, dtype=np.uint8) if fill == 0
-                      else np.full(size, fill, dtype=np.uint8))
+        # a zero-filled buffer is allocated on first access: timing-only
+        # runs that never store a byte hold none, however long their dead
+        # systems wait for the cycle collector
+        self._data: Optional[np.ndarray] = (
+            None if fill == 0 else np.full(size, fill, dtype=np.uint8))
+
+    def _array(self) -> np.ndarray:
+        if self._data is None:
+            self._data = np.zeros(self.size, dtype=np.uint8)
+        return self._data
 
     def _check(self, addr: int, nbytes: int) -> None:
         if nbytes < 0:
@@ -92,22 +97,22 @@ class Memory:
     def read(self, addr: int, nbytes: int) -> np.ndarray:
         """Copy *nbytes* starting at *addr*."""
         self._check(addr, nbytes)
-        return self._data[addr:addr + nbytes].copy()
+        return self._array()[addr:addr + nbytes].copy()
 
     def write(self, addr: int, data: BytesLike) -> None:
         """Store *data* starting at *addr*."""
         arr = as_bytes_array(data)
         self._check(addr, len(arr))
-        self._data[addr:addr + len(arr)] = arr
+        self._array()[addr:addr + len(arr)] = arr
 
     def fill(self, addr: int, nbytes: int, value: int) -> None:
         """Set *nbytes* at *addr* to *value*."""
         self._check(addr, nbytes)
-        self._data[addr:addr + nbytes] = value
+        self._array()[addr:addr + nbytes] = value
 
     def view(self) -> np.ndarray:
         """Read-only view of the whole backing array (for tests)."""
-        v = self._data.view()
+        v = self._array().view()
         v.setflags(write=False)
         return v
 

@@ -95,7 +95,7 @@ class DramController(TimedMemory):
         try:
             busy = self.service_time_ns(direction, nbytes)
             if self._last_direction and self._last_direction != direction:
-                self.stats.turnarounds += 1
+                self._stats.turnarounds += 1
             self._last_direction = direction
             yield self.sim.timeout(busy)
         finally:
@@ -112,13 +112,13 @@ class DramController(TimedMemory):
             busy = self._base_ns(nbytes)
             if self._last_direction and self._last_direction != "read":
                 busy += self.timing.turnaround_ns
-                self.stats.turnarounds += 1
+                self._stats.turnarounds += 1
             self._last_direction = "read"
             yield self.sim.timeout(busy)
         finally:
             self._controller.release()
-        self.stats.reads += 1
-        self.stats.read_bytes += nbytes
+        self._stats.reads += 1
+        self._stats.read_bytes += nbytes
         if functional:
             return self.backing.read(addr, nbytes)
         return None
@@ -138,13 +138,13 @@ class DramController(TimedMemory):
             busy = self._base_ns(nbytes)
             if self._last_direction and self._last_direction != "write":
                 busy += self.timing.turnaround_ns
-                self.stats.turnarounds += 1
+                self._stats.turnarounds += 1
             self._last_direction = "write"
             yield self.sim.timeout(busy)
         finally:
             self._controller.release()
-        self.stats.writes += 1
-        self.stats.written_bytes += nbytes
+        self._stats.writes += 1
+        self._stats.written_bytes += nbytes
         if arr is not None:
             self.backing.write(addr, arr)
 

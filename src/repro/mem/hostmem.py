@@ -82,8 +82,8 @@ class HostDram(TimedMemory):
             yield self.sim.timeout(self._busy_ns(nbytes))
         finally:
             port.release()
-        self.stats.reads += 1
-        self.stats.read_bytes += nbytes
+        self._stats.reads += 1
+        self._stats.read_bytes += nbytes
         if functional:
             return self.backing.read(addr, nbytes)
         return None
@@ -104,8 +104,8 @@ class HostDram(TimedMemory):
             yield self.sim.timeout(self._busy_ns(nbytes))
         finally:
             port.release()
-        self.stats.writes += 1
-        self.stats.written_bytes += nbytes
+        self._stats.writes += 1
+        self._stats.written_bytes += nbytes
         if arr is not None:
             self.backing.write(addr, arr)
 

@@ -13,7 +13,7 @@ benchmarks fast.  All control logic is shared between the two modes.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -63,7 +63,19 @@ class TimedMemory:
         # materialise only when written.
         self.backing = (SparseMemory(size, name=name) if sparse
                         else Memory(size, name=name))
-        self.stats = AccessStats()
+        #: counters, written directly on hot paths; read through
+        #: :attr:`stats`, which settles lazy writers first
+        self._stats = AccessStats()
+        #: settle callbacks of lazy writers (the NVMe write stream credits
+        #: its computed reads when the counters are observed)
+        self.settle_hooks: List[Callable[[], None]] = []
+
+    @property
+    def stats(self) -> AccessStats:
+        """Access counters, exact at the current instant."""
+        for fn in self.settle_hooks:
+            fn()
+        return self._stats
 
     @property
     def size(self) -> int:
@@ -88,8 +100,8 @@ class TimedMemory:
         """Timed read; returns the data (or ``None`` when functional=False)."""
         self.backing._check(addr, nbytes)
         yield from self._service("read", addr, nbytes)
-        self.stats.reads += 1
-        self.stats.read_bytes += nbytes
+        self._stats.reads += 1
+        self._stats.read_bytes += nbytes
         if functional:
             return self.backing.read(addr, nbytes)
         return None
@@ -107,15 +119,15 @@ class TimedMemory:
             nbytes = len(arr)
         self.backing._check(addr, nbytes)
         yield from self._service("write", addr, nbytes)
-        self.stats.writes += 1
-        self.stats.written_bytes += nbytes
+        self._stats.writes += 1
+        self._stats.written_bytes += nbytes
         if arr is not None:
             self.backing.write(addr, arr)
 
-    def _credit_read(self, nbytes: int) -> None:
-        """Count one completed read (the stats tail of ``timed_read``)."""
-        self.stats.reads += 1
-        self.stats.read_bytes += nbytes
+    def _credit_read(self, nbytes: int, k: int = 1) -> None:
+        """Count *k* completed reads (the stats tail of ``timed_read``)."""
+        self._stats.reads += k
+        self._stats.read_bytes += nbytes * k
 
     def fifo_read(self, addr: int, nbytes: int):
         """``(port, busy_ns, self)`` when ``timed_read`` is one fixed-service

@@ -438,10 +438,10 @@ class NvmeController(BarHandler):
         # the paper-faithful per-page fetch; _coalesce then yields one run
         # per page, identical to the uncoalesced loop).
         runs = self._coalesce(pages, nbytes, self.profile.fetch_span_pages)
-        programs = self._stream_programs(runs)
-        if programs is not None:
+        groups = self._stream_programs(runs)
+        if groups is not None:
             chunks = None  # the stream is timing-only
-            yield from self._stream.write(runs, programs,
+            yield from self._stream.write(runs, groups,
                                           self.profile.write_cmd_overhead_ns)
         else:
             chunks = yield from self._write_per_page(runs)
@@ -455,16 +455,17 @@ class NvmeController(BarHandler):
         return StatusCode.SUCCESS, 0
 
     def _stream_programs(self, runs):
-        """The fetch programs of *runs* when the write stream takes the
-        command, else None.  The stream takes every write while it is
-        busy and starts only on a command it can take whole; any other
-        command runs per page, with the program engine to itself."""
+        """The ``(program, count)`` fetch groups of *runs* when the write
+        stream takes the command, else None.  The stream takes every
+        write while it is busy and starts only on a command it can take
+        whole; any other command runs per page, with the program engine
+        to itself."""
         stream = self._stream
         if stream is None or self._per_page_writes:
             return None
-        programs = stream.describe(runs)
-        if stream.active or None not in programs:
-            return programs
+        groups = stream.describe(runs)
+        if stream.active or all(program is not None for program, _ in groups):
+            return groups
         return None
 
     def _write_per_page(self, runs):

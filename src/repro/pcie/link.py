@@ -133,11 +133,11 @@ class PcieLink:
         #: its computed transfers when a counter is observed)
         self.settle_hooks: List[Callable[[], None]] = []
 
-    def _credit_up(self, wire: int) -> None:
-        self.wire_bytes["up"] += wire
+    def _credit_up(self, wire: int, k: int = 1) -> None:
+        self.wire_bytes["up"] += wire * k
 
-    def _credit_down(self, wire: int) -> None:
-        self.wire_bytes["down"] += wire
+    def _credit_down(self, wire: int, k: int = 1) -> None:
+        self.wire_bytes["down"] += wire * k
 
     def _settle_lazy(self) -> None:
         for fn in self.settle_hooks:

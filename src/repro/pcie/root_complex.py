@@ -271,6 +271,7 @@ class PcieFabric:
         if cached is not None:
             return cached
         rlink = requester.link
+        traffic = self.traffic
         nreq = rlink.params.tlp.read_requests(nbytes)
         req = rlink.plan_single_chunk(0, raw_wire_bytes=nreq * MEMRD_REQUEST_BYTES)
         down = rlink.plan_single_chunk(nbytes)
@@ -288,7 +289,7 @@ class PcieFabric:
                        None),
                       (ACQ, mport, None), (WAIT, busy, None),
                       (REL, mport, None), (CALL, mem._credit_read, nbytes),
-                      (CALL, self._record_host, nbytes)]
+                      (CALL, traffic._credit, (HOST_SEGMENT, nbytes))]
         else:
             plink = peer.link
             resources.append(plink._dirs["up"])
@@ -301,56 +302,54 @@ class PcieFabric:
                       (REL, p_up, None), (CALL, plink._credit_up, up[1]),
                       (WAIT, plink.params.propagation_ns + self.rc_forward_ns,
                        None),
-                      (CALL, self._record_segment, (peer.name, nbytes))]
+                      (CALL, traffic._credit, (peer.name, nbytes))]
         steps += [(ACQ, r_down, None), (WAIT, down[0], None),
                   (REL, r_down, None), (CALL, rlink._credit_down, down[1]),
                   (WAIT, rlink.params.propagation_ns, None),
-                  (CALL, self._record_segment, (requester.name, nbytes)),
+                  (CALL, traffic._credit, (requester.name, nbytes)),
                   (REL, tags, None)]
         program = (Program(steps), tuple(resources))
         requester._program_cache[key] = program
         return program
 
     def read_programs(self, requester: PcieEndpoint, runs):
-        """:meth:`read_program` of every ``(addr, nbytes)`` run, in order.
+        """:meth:`read_program` of the ``(addr, nbytes)`` runs, in order, as
+        ``(program, count)`` groups: *count* consecutive runs share it.
 
         A stretch of equal-size contiguous runs shares one program when
         the whole span decodes to one window, passes the IOMMU as one
         range, and has the same program at both ends — the case of every
-        page of a command's buffer — so it is described once.
+        page of a command's buffer — so it is described once.  A run
+        without a program (None) is a group of one.
         """
-        programs = []
+        groups = []
         i, n = 0, len(runs)
         while i < n:
             addr, nbytes = runs[i]
             program = self.read_program(requester, addr, nbytes)
-            programs.append(program)
             i += 1
-            if program is None:
-                continue
+            count = 1
             j = i
-            while (j < n and runs[j][1] == nbytes
+            while (program is not None and j < n and runs[j][1] == nbytes
                    and runs[j][0] == runs[j - 1][0] + nbytes):
                 j += 1
-            if j == i:
-                continue
-            span = runs[j - 1][0] + nbytes - addr
-            try:
-                self.iommu.check(requester.name, addr, span)
-                self._decode(addr, span)
-            except Exception:  # described page by page instead
-                continue
-            if self.read_program(requester, runs[j - 1][0],
-                                 nbytes) is program:
-                programs.extend([program] * (j - i))
+            if j > i and self._one_window(requester, addr,
+                                          runs[j - 1][0] + nbytes - addr) \
+                    and self.read_program(requester, runs[j - 1][0],
+                                          nbytes) is program:
+                count += j - i
                 i = j
-        return programs
+            groups.append((program, count))
+        return groups
 
-    def _record_host(self, nbytes: int) -> None:
-        self.traffic.record(HOST_SEGMENT, nbytes)
-
-    def _record_segment(self, arg) -> None:
-        self.traffic.record(arg[0], arg[1])
+    def _one_window(self, requester: PcieEndpoint, addr: int,
+                    nbytes: int) -> bool:
+        try:
+            self.iommu.check(requester.name, addr, nbytes)
+            self._decode(addr, nbytes)
+        except Exception:  # described page by page instead
+            return False
+        return True
 
     def _dma_write(self, requester: PcieEndpoint, addr: int,
                    data: Optional[BytesLike], nbytes: Optional[int]):

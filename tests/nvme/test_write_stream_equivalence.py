@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import StreamerVariant, build_snacc_system
 from repro.core.bench import SnaccPerf
+from repro.core.config import default_config_for
 from repro.faults.plan import FaultConfig
 from repro.nvme.controller import NvmeController
 from repro.nvme.device import NvmeDeviceConfig
@@ -31,14 +32,20 @@ VARIANTS = {"uram": StreamerVariant.URAM,
 
 
 def _system(mode, variant="uram", scheduler="calendar", depth=2, span=1,
-            faults=None):
+            faults=None, cmd_pages=None, phase_bytes=None):
     sim = Simulator(scheduler=scheduler)
     profile = replace(SAMSUNG_990_PRO_LIKE, data_fetch_depth=depth,
                       fetch_span_pages=span)
+    if phase_bytes is not None:
+        profile = replace(profile, write_phase_period_bytes=phase_bytes)
     host = HostSystemConfig(functional=False, coarsening=mode, faults=faults,
                             iommu_enabled=False,
                             ssd=NvmeDeviceConfig(profile=profile))
-    system = build_snacc_system(sim, VARIANTS[variant], host)
+    streamer = None
+    if cmd_pages is not None:
+        streamer = replace(default_config_for(VARIANTS[variant]),
+                           max_cmd_bytes=cmd_pages * 4 * KiB)
+    system = build_snacc_system(sim, VARIANTS[variant], host, streamer)
     system.initialize()
     return sim, system
 
@@ -114,11 +121,22 @@ def vars_of(stats):
     return {k: getattr(stats, k) for k in stats.__slots__}
 
 
+def _observe_mems(system):
+    """The read counters of the write's source memory, read first and
+    alone: nothing else settles the stream before them."""
+    uram = getattr(system.streamer, "_uram", None)
+    mem = uram if uram is not None else system.host.host_mem
+    stats = mem.stats
+    return stats.reads, stats.read_bytes
+
+
 def run_world(mode, variant="uram", scheduler="calendar", depth=2, span=1,
               faults=None, nbytes=1 * MiB, outsiders=(), samples=(),
-              reset_at=None):
+              reset_at=None, mem_samples=(), cmd_pages=None,
+              phase_bytes=None):
     """Observables of one sequential write with injected outsiders."""
-    sim, system = _system(mode, variant, scheduler, depth, span, faults)
+    sim, system = _system(mode, variant, scheduler, depth, span, faults,
+                          cmd_pages, phase_bytes)
     cqes = []
     ctl = system.host.ssd.controller
     orig = ctl._post_cqe
@@ -144,11 +162,20 @@ def run_world(mode, variant="uram", scheduler="calendar", depth=2, span=1,
 
     for at in samples:
         _ = sim.process(sampler(at))
+    mems = []
+
+    def mem_sampler(at):
+        yield sim.timeout(at)
+        mems.append((at, _observe_mems(system)))
+
+    for at in mem_samples:
+        _ = sim.process(mem_sampler(at))
     perf = SnaccPerf(sim, system.user)
     run = sim.run_process(perf.seq_write(nbytes))
     sim.run()  # let outsiders and samplers finish
     out = _observe(sim, system)
-    out.update(cqes=cqes, samples=sorted(seen, key=lambda x: x[0]), elapsed=run.elapsed_ns,
+    out.update(cqes=cqes, samples=sorted(seen, key=lambda x: x[0]),
+               mem_samples=mems, elapsed=run.elapsed_ns,
                outsiders=_DONE.pop(id(sim), []))
     return out
 
@@ -160,9 +187,11 @@ def _assert_equal(**kw):
     return ref
 
 
-def _boundaries(variant="uram", depth=2, span=1, nbytes=512 * KiB):
+def _boundaries(variant="uram", depth=2, span=1, nbytes=512 * KiB,
+                cmd_pages=None):
     """Instants the reference grants or frees a fetch-side resource."""
-    sim, system = _system("per_frame", variant, depth=depth, span=span)
+    sim, system = _system("per_frame", variant, depth=depth, span=span,
+                          cmd_pages=cmd_pages)
     watched = set(map(id, _resources(system).values()))
     times = []
     acquire, release = Resource.acquire, Resource.release
@@ -234,14 +263,98 @@ class TestEquivalence:
         assert counts["train"] * 3 < counts["per_frame"]
 
 
+def _runs(monkeypatch):
+    """Record ``(c, n)`` of every closed-form fetch run the stream makes."""
+    import repro.nvme.write_stream as ws
+    made = []
+    schedule = ws.schedule
+
+    def spy(*args):
+        runs = schedule(*args)
+        made.extend((len(run.times), run.n) for run in runs if run.n > 1)
+        return runs
+
+    monkeypatch.setattr(ws, "schedule", spy)
+    return made
+
+
+class TestPeriodicRuns:
+    """Closed-form runs (repro.sim.fifo.schedule) inside the stream."""
+
+    @pytest.mark.parametrize("variant, period", [("uram", 2),
+                                                 ("host_dram", 1)])
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    @pytest.mark.parametrize("cmd_pages", [64, 512])
+    def test_long_commands(self, monkeypatch, variant, period, depth,
+                           cmd_pages):
+        made = _runs(monkeypatch)
+        _assert_equal(variant=variant, depth=depth, cmd_pages=cmd_pages,
+                      nbytes=2 * cmd_pages * 4 * KiB)
+        assert made and max(n for _, n in made) > cmd_pages // 2
+        if depth == 2:  # URAM over P2P repeats every 2 pages, host DRAM 1
+            assert {c for c, _ in made} == {period}
+
+    def test_outsider_at_every_page_of_a_run(self):
+        # one 64-page command; one outsider per world, each at an exact
+        # reference step boundary, about one per page of the command
+        bounds = _boundaries(nbytes=256 * KiB, cmd_pages=64)
+        kinds = ["ssd.up", "ssd.down", "fpga.up", "ssd.tags", "uram.rd",
+                 "ctl_dma", "host_mmio", "host_dma", "doorbell"]
+        for i, at in enumerate(bounds[::max(1, len(bounds) // 64)]):
+            _assert_equal(nbytes=256 * KiB, cmd_pages=64,
+                          outsiders=[(kinds[i % len(kinds)], int(at),
+                                      1 + i % 5)])
+
+    @pytest.mark.parametrize("variant", ["uram", "host_dram"])
+    def test_write_phase_flips_inside_runs(self, variant):
+        # a 37-page phase period flips the program time several times
+        # inside every 256-page command's run
+        rng = np.random.default_rng(11)
+        samples = tuple(sorted(int(x)
+                               for x in rng.integers(1, 400_000, size=15)))
+        outsiders = [("ssd.tags", int(t), 50)
+                     for t in rng.integers(0, 400_000, size=3)]
+        ref = _assert_equal(variant=variant, nbytes=1 * MiB,
+                            phase_bytes=37 * 4 * KiB, samples=samples,
+                            outsiders=outsiders)
+        assert ref["programmed"] == 1 * MiB
+
+
+class TestStreamCost:
+    def test_unit_computations_scale_with_commands_and_splits(self):
+        # host-independent guard against falling back to per-page
+        # arithmetic: a 32 MiB write is 8192 pages in 32 commands
+        sim, system = _system("train")
+        ctl = system.host.ssd.controller
+        sim.run_process(SnaccPerf(sim, system.user).seq_write(32 * MiB))
+        stream = ctl._stream
+        commands = ctl.stats.writes_completed
+        assert commands == 32
+        assert stream.walks <= 16 * (commands + stream.splits)
+        assert 2 * stream.walks < 32 * MiB // (4 * KiB)
+
+
 class TestMidStreamObservation:
-    def test_samples_and_reset_inside_stream(self):
+    def test_samples_and_reset_inside_stream(self, variant="uram"):
         rng = np.random.default_rng(7)
         samples = sorted(int(x) for x in rng.integers(1, 150_000, size=25))
-        bounds = _boundaries()
+        bounds = _boundaries(variant)
         samples += [int(b) for b in bounds[100:110]]
-        _assert_equal(nbytes=512 * KiB, samples=tuple(samples),
-                      reset_at=samples[5])
+        _assert_equal(variant=variant, nbytes=512 * KiB,
+                      samples=tuple(samples), reset_at=samples[5])
+
+    def test_samples_and_reset_inside_host_dram_runs(self):
+        self.test_samples_and_reset_inside_stream("host_dram")
+
+    @pytest.mark.parametrize("variant", ["uram", "host_dram"])
+    def test_memory_stats_settle_when_read(self, variant):
+        # the source memory's read counters, read before anything else
+        # could settle the stream, equal the reference mid-stream
+        rng = np.random.default_rng(23)
+        at = tuple(sorted(int(x) for x in rng.integers(1, 150_000, size=20)))
+        ref = _assert_equal(variant=variant, nbytes=512 * KiB,
+                            mem_samples=at)
+        assert len({reads for _, reads in ref["mem_samples"]}) > 10
 
     def test_functional_controller_keeps_per_page_path(self):
         sim = Simulator()
@@ -309,7 +422,9 @@ class TestForkInsideStream:
         engine = self._engine("train")
         engine.prepare()
         stream = engine._world.system.host.ssd.controller._stream
-        assert stream._coarse and stream._computed  # checkpoint in a stream
+        # the checkpoint falls inside a closed-form run
+        assert stream._coarse and any(seg.run.n > 1
+                                      for seg in stream._fetching)
         results = {}
         for mode in ("train", "per_frame"):
             for mech in mechanisms:
